@@ -203,26 +203,6 @@ func readString(r io.Reader) (string, error) {
 // maxElems bounds decoded element counts (8G floats is certainly corrupt).
 const maxElems = 1 << 33
 
-// readChunked reads exactly n bytes in bounded chunks, so a corrupt length
-// field fails at EOF with memory proportional to the actual stream instead
-// of pre-allocating the claimed size.
-func readChunked(r io.Reader, n uint64) ([]byte, error) {
-	const chunk = 4 << 20
-	out := make([]byte, 0, min64(n, chunk))
-	for uint64(len(out)) < n {
-		step := n - uint64(len(out))
-		if step > chunk {
-			step = chunk
-		}
-		start := len(out)
-		out = append(out, make([]byte, step)...)
-		if _, err := io.ReadFull(r, out[start:]); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 func min64(a, b uint64) uint64 {
 	if a < b {
 		return a
@@ -230,7 +210,13 @@ func min64(a, b uint64) uint64 {
 	return b
 }
 
-func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
+// readF32s decodes a length-prefixed float32 vector through a pooled
+// scratch chunk straight into the result. The result grows with the bytes
+// actually read, so a corrupt length field fails at EOF with memory
+// proportional to the stream instead of the claimed size. With discard
+// set, the bytes are read (and so CRC-checked by the caller's reader) but
+// not kept, and the result is nil.
+func readF32s(r io.Reader, pool *parallel.Pool, discard bool) ([]float32, error) {
 	n, err := readU64(r)
 	if err != nil {
 		return nil, err
@@ -238,16 +224,40 @@ func readF32s(r io.Reader, pool *parallel.Pool) ([]float32, error) {
 	if n > maxElems {
 		return nil, fmt.Errorf("checkpoint: implausible vector length %d", n)
 	}
-	buf, err := readChunked(r, 4*n)
-	if err != nil {
-		return nil, err
+	const chunk = 1 << 20 // elements per read
+	scratch := getScratch(int(4 * min64(n, chunk)))
+	defer scratch.release()
+	var out []float32
+	if !discard {
+		out = make([]float32, 0, min64(n, chunk))
 	}
-	out := make([]float32, n)
-	pool.ForEach(len(out), func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+	for done := uint64(0); done < n; {
+		step := min64(n-done, chunk)
+		buf := scratch.b[:4*step]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
 		}
-	})
+		done += step
+		if discard {
+			continue
+		}
+		start := len(out)
+		if start+int(step) > cap(out) {
+			// Double the capacity, capped at n: the vector is copied
+			// about log2(n/chunk) times, 2n floats allocated in all, and
+			// the result ends exact-size.
+			grown := make([]float32, start, min64(n, 2*uint64(cap(out))))
+			copy(grown, out)
+			out = grown
+		}
+		out = out[:start+int(step)]
+		dst := out[start:]
+		pool.ForEach(len(dst), func(_, lo, hi int) {
+			for i := lo; i < hi; i++ {
+				dst[i] = math.Float32frombits(binary.LittleEndian.Uint32(buf[4*i:]))
+			}
+		})
+	}
 	return out, nil
 }
 
@@ -322,6 +332,22 @@ func DecodeFull(r io.Reader) (*Full, error) {
 // DecodeFullWith is DecodeFull with the byte-to-float conversion loops
 // sharded over pool; the decoded state is identical at any worker count.
 func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
+	return decodeFull(r, pool, false)
+}
+
+// DecodeFullDiscard is DecodeFull in discard mode: the same parser reads
+// and CRC-checks the whole record and accepts or rejects exactly what
+// DecodeFull does, but it keeps none of the float vectors. The result
+// carries the iteration and the optimizer name, step and scalars; Params
+// and every slot vector are nil (slot names are kept). Integrity checks
+// use it to avoid materializing the model state.
+func DecodeFullDiscard(r io.Reader) (*Full, error) {
+	return decodeFull(r, nil, true)
+}
+
+// decodeFull is the one full-record parser behind DecodeFullWith and
+// DecodeFullDiscard.
+func decodeFull(r io.Reader, pool *parallel.Pool, discard bool) (*Full, error) {
 	cr := newCRCReader(r)
 	magic, err := readU32(cr)
 	if err != nil {
@@ -341,7 +367,7 @@ func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 	if err != nil {
 		return nil, err
 	}
-	params, err := readF32s(cr, pool)
+	params, err := readF32s(cr, pool, discard)
 	if err != nil {
 		return nil, fmt.Errorf("checkpoint: decode params: %w", err)
 	}
@@ -385,7 +411,7 @@ func DecodeFullWith(r io.Reader, pool *parallel.Pool) (*Full, error) {
 		if err != nil {
 			return nil, err
 		}
-		v, err := readF32s(cr, pool)
+		v, err := readF32s(cr, pool, discard)
 		if err != nil {
 			return nil, fmt.Errorf("checkpoint: decode slot %q: %w", k, err)
 		}
@@ -540,6 +566,17 @@ func LoadFullWith(s storage.Store, name string, pool *parallel.Pool) (*Full, err
 	}
 	defer r.Close()
 	return DecodeFullWith(r, pool)
+}
+
+// LoadFullDiscard CRC-checks a stored full checkpoint through
+// DecodeFullDiscard.
+func LoadFullDiscard(s storage.Store, name string) (*Full, error) {
+	r, err := s.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return DecodeFullDiscard(r)
 }
 
 // SaveDiff persists a differential checkpoint under its canonical name and

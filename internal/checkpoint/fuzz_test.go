@@ -10,7 +10,8 @@ import (
 )
 
 // FuzzDecodeFull hardens the full-checkpoint decoder against arbitrary
-// input: no panics, no huge allocations, CRC catches mutations.
+// input: no panics, no huge allocations, CRC catches mutations, and the
+// discard mode accepts and rejects exactly what DecodeFull does.
 func FuzzDecodeFull(f *testing.F) {
 	params := tensor.New(16)
 	tensor.NewRNG(1).FillUniform(params, -1, 1)
@@ -27,6 +28,10 @@ func FuzzDecodeFull(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		got, err := DecodeFull(bytes.NewReader(data))
+		// Discard mode is the same parser: it must agree on every input.
+		if err := sameVerdict(got, err, data); err != nil {
+			t.Fatal(err)
+		}
 		if err != nil {
 			return
 		}

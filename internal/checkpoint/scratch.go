@@ -2,10 +2,11 @@ package checkpoint
 
 import "sync"
 
-// scratch is the pooled byte buffer writeF32s stages conversions through,
-// replacing a per-vector allocation on every checkpoint write. A scratch
-// buffer never escapes the call that got it (the writer must not retain the
-// slice past Write, per the io.Writer contract).
+// scratch is the pooled byte buffer writeF32s and readF32s stage
+// conversions through, replacing a per-vector allocation on every
+// checkpoint write and read. A scratch buffer never escapes the call that
+// got it (writers and readers must not retain the slice past Write or
+// Read, per the io.Writer and io.Reader contracts).
 
 type scratchBuf struct{ b []byte }
 

@@ -31,12 +31,33 @@ type Group struct {
 	cond *sync.Cond
 
 	slots   []interface{}
+	outs    [2][]interface{} // exchange results, alternating by generation
 	out     []interface{}
 	arrived int
 	gen     uint64
 
 	// ring links: ring[i] carries messages from rank i to rank (i+1)%n.
 	ring []chan tensor.Vector
+	// ringSt[i] is rank i's reusable ring all-reduce state.
+	ringSt []ringRank
+}
+
+// ringRank is one rank's ring all-reduce state, reused across calls so a
+// steady-state all-reduce allocates nothing. lens is read by the other
+// ranks after the length rendezvous; every rank has finished reading it
+// before the owner can return from the ring steps (each step waits on a
+// message from the previous rank, so after n-1 steps every rank has
+// passed its length check).
+//
+// A rank's messages rotate through three send buffers. With one-slot
+// links a sender can only overwrite buffer k%3 after the send of message
+// k+2 went through, which needs the receiver to have taken message k+1,
+// which it does only after it finished adding message k. Two buffers
+// would race: the send of k+1 needs only that message k was taken.
+type ringRank struct {
+	lens []int
+	bufs [3]tensor.Vector
+	next int
 }
 
 // NewGroup returns a communicator for n ranks. n must be positive.
@@ -52,7 +73,12 @@ func NewGroupPooled(n int, pool *parallel.Pool) (*Group, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("comm: group size %d must be positive", n)
 	}
-	g := &Group{n: n, pool: pool, slots: make([]interface{}, n), ring: make([]chan tensor.Vector, n)}
+	g := &Group{
+		n: n, pool: pool, slots: make([]interface{}, n),
+		outs:   [2][]interface{}{make([]interface{}, n), make([]interface{}, n)},
+		ring:   make([]chan tensor.Vector, n),
+		ringSt: make([]ringRank, n),
+	}
 	g.cond = sync.NewCond(&g.mu)
 	for i := range g.ring {
 		g.ring[i] = make(chan tensor.Vector, 1)
@@ -65,7 +91,9 @@ func (g *Group) Size() int { return g.n }
 
 // exchange is the rendezvous primitive: every rank deposits in and receives
 // the slice of all ranks' deposits (indexed by rank). All ranks return
-// together.
+// together. The result stays valid until the caller's next-but-one
+// exchange: results alternate between two buffers, and the buffer of
+// generation k is rewritten only when every rank has entered k+2.
 func (g *Group) exchange(rank int, in interface{}) []interface{} {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -74,7 +102,8 @@ func (g *Group) exchange(rank int, in interface{}) []interface{} {
 	g.arrived++
 	if g.arrived == g.n {
 		g.arrived = 0
-		g.out = append([]interface{}(nil), g.slots...)
+		g.out = g.outs[gen&1]
+		copy(g.out, g.slots)
 		g.gen++
 		g.cond.Broadcast()
 	} else {
@@ -149,30 +178,37 @@ func (g *Group) AllReduceMean(rank int, v tensor.Vector) error {
 	return nil
 }
 
-// RingAllReduceSum performs the bandwidth-optimal ring all-reduce in place:
-// a reduce-scatter phase (n-1 steps) followed by an all-gather phase
-// (n-1 steps), each rank exchanging one chunk with its ring neighbours per
-// step. Every rank finishes with a bit-identical sum.
-func (g *Group) RingAllReduceSum(rank int, v tensor.Vector) error {
+// RingAllReduceSum performs the bandwidth-optimal ring all-reduce in place
+// on one or more vectors: a reduce-scatter phase (n-1 steps) followed by
+// an all-gather phase (n-1 steps), each rank exchanging one message with
+// its ring neighbours per step. Several vectors coalesce into one call:
+// one length rendezvous, then each step's chunks of all vectors travel as
+// one message. Each vector is chunked exactly as a call with that vector
+// alone chunks it, so every element is summed in the same rank order and
+// the result is bit-identical to one call per vector. Every rank must
+// pass the same number of vectors with the same lengths; a mismatch fails
+// on every rank. Every rank finishes with a bit-identical sum.
+func (g *Group) RingAllReduceSum(rank int, vs ...tensor.Vector) error {
 	if err := g.checkRank(rank); err != nil {
 		return err
 	}
 	if g.n == 1 {
 		return nil
 	}
-	// Length agreement check (cheap rendezvous).
-	all := g.exchange(rank, len(v))
-	want := all[0].(int)
-	for r, l := range all {
-		if l.(int) != want {
-			return fmt.Errorf("comm: ring allreduce length mismatch: rank %d has %d, rank 0 has %d", r, l, want)
-		}
+	st := &g.ringSt[rank]
+	st.lens = st.lens[:0]
+	for _, v := range vs {
+		st.lens = append(st.lens, len(v)) //lint:allow hotalloc reused across calls; grows only until it fits the largest vector count
 	}
-	n := g.n
-	chunks, err := v.Chunks(n)
-	if err != nil {
+	// Length agreement check (one cheap rendezvous for all vectors).
+	all := g.exchange(rank, st)
+	if err := ringLensAgree(all); err != nil {
+		// Every rank sees the same deposits and fails alike; the extra
+		// rendezvous keeps each rank's lens alive until all have compared.
+		g.exchange(rank, nil)
 		return err
 	}
+	n := g.n
 	next := g.ring[rank]         // we send here
 	prev := g.ring[(rank+n-1)%n] // we receive here
 	// Reduce-scatter: after step s, rank r holds the running sum of chunk
@@ -181,23 +217,72 @@ func (g *Group) RingAllReduceSum(rank int, v tensor.Vector) error {
 	for s := 0; s < n-1; s++ {
 		sendIdx := (rank - s + n) % n
 		recvIdx := (rank - s - 1 + 2*n) % n
-		out := chunks[sendIdx].Clone() // transmit a copy, like a real NIC
-		next <- out
+		next <- st.pack(vs, sendIdx, n) // transmit a copy, like a real NIC
 		in := <-prev
-		if err := chunks[recvIdx].Add(in); err != nil {
-			return err
+		for _, v := range vs {
+			c := ringChunk(v, recvIdx, n)
+			if err := c.Add(in[:len(c)]); err != nil {
+				return err
+			}
+			in = in[len(c):]
 		}
 	}
 	// All-gather: circulate the reduced chunks around the ring.
 	for s := 0; s < n-1; s++ {
 		sendIdx := (rank + 1 - s + 2*n) % n
 		recvIdx := (rank - s + 2*n) % n
-		out := chunks[sendIdx].Clone()
-		next <- out
+		next <- st.pack(vs, sendIdx, n)
 		in := <-prev
-		copy(chunks[recvIdx], in)
+		for _, v := range vs {
+			in = in[copy(ringChunk(v, recvIdx, n), in):]
+		}
 	}
 	return nil
+}
+
+// ringLensAgree checks that every rank deposited the same vector lengths
+// as rank 0.
+func ringLensAgree(all []interface{}) error {
+	want := all[0].(*ringRank).lens
+	for r := 1; r < len(all); r++ {
+		got := all[r].(*ringRank).lens
+		if len(got) != len(want) {
+			return fmt.Errorf("comm: ring allreduce count mismatch: rank %d has %d vectors, rank 0 has %d",
+				r, len(got), len(want))
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				return fmt.Errorf("comm: ring allreduce length mismatch: vector %d: rank %d has %d, rank 0 has %d",
+					i, r, got[i], want[i])
+			}
+		}
+	}
+	return nil
+}
+
+// pack copies chunk idx of every vector into the rank's next send buffer.
+func (st *ringRank) pack(vs []tensor.Vector, idx, n int) tensor.Vector {
+	k := st.next % len(st.bufs)
+	st.next++
+	buf := st.bufs[k][:0]
+	for _, v := range vs {
+		buf = append(buf, ringChunk(v, idx, n)...) //lint:allow hotalloc reused across calls; grows only until it fits the largest message
+	}
+	st.bufs[k] = buf
+	return buf
+}
+
+// ringChunk returns chunk i of v split into n near-equal chunks, the
+// layout of tensor.Vector.Chunks: the first len(v)%n chunks hold one
+// extra element.
+func ringChunk(v tensor.Vector, i, n int) tensor.Vector {
+	base, rem := len(v)/n, len(v)%n
+	lo := i*base + min(i, rem)
+	hi := lo + base
+	if i < rem {
+		hi++
+	}
+	return v[lo:hi]
 }
 
 // AllGatherSparse gathers every rank's compressed gradient and returns the

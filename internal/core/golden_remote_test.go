@@ -1,9 +1,6 @@
 package core
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -58,16 +55,7 @@ func runGoldenRemote(t *testing.T, wrap func(storage.Store) (storage.Store, erro
 			}
 			defer func() { _ = r.Close() }()
 			cfg.store = r
-			got := captureGolden(t, cfg)
-			raw, err := os.ReadFile(filepath.Join("testdata", "golden", cfg.name+".json"))
-			if err != nil {
-				t.Fatalf("missing fixture (generate with LOWDIFF_UPDATE_GOLDEN=1): %v", err)
-			}
-			var want goldenFixture
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, &want, got)
+			compareGolden(t, loadGolden(t, cfg.name), captureGolden(t, cfg))
 		})
 	}
 }

@@ -151,16 +151,27 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 			return NewPlusEngine(PlusOptions{
 				Spec: model.Tiny(5, 24), Workers: 2, LR: 0.03,
 				Store: store, PersistEvery: 5, Parallelism: par,
-				Seed: 105, Events: events,
+				Overlap: overlap, Seed: 105, Events: events,
 			})
 		},
-		run: func(e goldenEngine, iters int) (int64, int64, error) {
-			st, err := e.(*PlusEngine).Run(iters)
-			return 0, st.Persists, err
+		run:    runPlusGolden,
+		finish: finishPlusGolden,
+	})
+
+	// LowDiff+ at three workers over uneven layers, one smaller than the
+	// rank count. With two ranks a+b == b+a, so only three or more ranks
+	// pin the ring all-reduce's per-layer chunking and reduction order.
+	cfgs = append(cfgs, goldenConfig{
+		name: "plus-3w", chunks: []int{6, 5}, store: storage.NewMem(), events: true,
+		build: func(store storage.Store, events *obs.EventLog) (goldenEngine, error) {
+			return NewPlusEngine(PlusOptions{
+				Spec: unevenSpec(), Workers: 3, LR: 0.03,
+				Store: store, PersistEvery: 4, Parallelism: par,
+				Overlap: overlap, Seed: 107, Events: events,
+			})
 		},
-		finish: func(e goldenEngine) (optim.State, error) {
-			return e.(*PlusEngine).RecoverInMemory().Opt, nil
-		},
+		run:    runPlusGolden,
+		finish: finishPlusGolden,
 	})
 
 	// Pipeline-parallel: four stages, batched assembled diffs. The diff
@@ -188,6 +199,24 @@ func goldenConfigs(par int, overlap bool) []goldenConfig {
 		},
 	})
 	return cfgs
+}
+
+func runPlusGolden(e goldenEngine, iters int) (int64, int64, error) {
+	st, err := e.(*PlusEngine).Run(iters)
+	return 0, st.Persists, err
+}
+
+func finishPlusGolden(e goldenEngine) (optim.State, error) {
+	return e.(*PlusEngine).RecoverInMemory().Opt, nil
+}
+
+// unevenSpec is a model whose layer sizes share no common chunking with
+// three ranks; layer01 has fewer elements than ranks.
+func unevenSpec() model.Spec {
+	return model.Spec{Name: "uneven", Layers: []model.Layer{
+		{Name: "l0", Size: 31}, {Name: "l1", Size: 2}, {Name: "l2", Size: 17},
+		{Name: "l3", Size: 8}, {Name: "l4", Size: 23},
+	}}
 }
 
 func TestGoldenEquivalence(t *testing.T) {
@@ -222,22 +251,31 @@ func runGolden(t *testing.T, par int, overlap, update bool) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			got := captureGolden(t, cfg)
-			path := filepath.Join("testdata", "golden", cfg.name+".json")
 			if update {
-				writeGolden(t, path, got)
+				writeGolden(t, goldenPath(cfg.name), got)
 				return
 			}
-			raw, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing fixture (generate with LOWDIFF_UPDATE_GOLDEN=1): %v", err)
-			}
-			var want goldenFixture
-			if err := json.Unmarshal(raw, &want); err != nil {
-				t.Fatal(err)
-			}
-			compareGolden(t, &want, got)
+			compareGolden(t, loadGolden(t, cfg.name), got)
 		})
 	}
+}
+
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "golden", name+".json")
+}
+
+// loadGolden reads the checked-in fixture of configuration name.
+func loadGolden(t *testing.T, name string) *goldenFixture {
+	t.Helper()
+	raw, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		t.Fatalf("missing fixture (generate with LOWDIFF_UPDATE_GOLDEN=1): %v", err)
+	}
+	var fx goldenFixture
+	if err := json.Unmarshal(raw, &fx); err != nil {
+		t.Fatal(err)
+	}
+	return &fx
 }
 
 func captureGolden(t *testing.T, cfg goldenConfig) *goldenFixture {

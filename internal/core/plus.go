@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"lowdiff/internal/checkpoint"
@@ -16,9 +17,9 @@ import (
 	"lowdiff/internal/trace"
 )
 
-// LowDiff+ (paper §5): gradient reuse without compression, layer-wise
-// snapshotting through an offload pool, a CPU-resident model replica, and
-// asynchronous persistence.
+// LowDiff+ (paper §5): gradient reuse without compression, coalesced
+// gradient synchronization and snapshotting through an offload pool, a
+// CPU-resident model replica, and asynchronous persistence.
 
 // PlusOptions configures the LowDiff+ engine (paper §5). It is a thin view
 // over the unified Options with a PlusSpec extension.
@@ -37,11 +38,10 @@ type PlusOptions struct {
 	// (default 10), following CheckFreq-style overlap.
 	PersistEvery int
 	QueueCap     int // layer-item queue bound (default: 4x layer count)
-	// SnapshotWorkers sizes the offload thread pool P_s (Alg. 2): layer
-	// gradients are copied to host memory by pool workers concurrently
-	// with the remaining layers' compute and synchronization; the trainer
-	// waits on the pool (H_s) before reusing its gradient buffer.
-	// Default 4.
+	// SnapshotWorkers sizes the offload thread pool P_s (Alg. 2): pool
+	// workers copy each synchronized gradient to host memory and stream
+	// its layers to the checkpointing process; the trainer waits on the
+	// pool (H_s) before reusing its gradient buffer. Default 4.
 	SnapshotWorkers int
 
 	// Parallelism shards the dense data-plane loops (replica assembly,
@@ -61,7 +61,8 @@ type PlusOptions struct {
 	Noise float64 // default 0.05
 
 	// Trace, when non-nil, records the step-phase timeline (per-layer
-	// compute/allgather, snapshot offload, replica assembly, persists).
+	// compute, per-iteration allgather and snapshot offload, replica
+	// assembly, persists).
 	// Nil disables tracing with zero overhead.
 	Trace *trace.Recorder
 	// Metrics, when non-nil, registers the engine's live instruments
@@ -84,10 +85,11 @@ type PlusStats struct {
 }
 
 // PlusEngine is the functional LowDiff+ trainer. Workers train with dense
-// (uncompressed) ring-all-reduce gradient synchronization; each layer's
-// synchronized gradient is snapshotted to "CPU memory" as soon as it is
-// produced (reverse layer order, §5.1) and streamed through the reusing
-// queue to the checkpointing process, which maintains an always-up-to-date
+// (uncompressed) ring-all-reduce gradient synchronization, one coalesced
+// all-reduce per iteration over every layer; the synchronized gradient is
+// snapshotted to "CPU memory" in one copy (layers in reverse order, §5.1)
+// and streamed layer by layer through the
+// reusing queue to the checkpointing process, which maintains an always-up-to-date
 // CPU-resident replica of the model state (§5.2) and persists it
 // asynchronously. Software failures recover from the in-memory replica;
 // hardware failures reload the last persisted checkpoint.
@@ -202,7 +204,7 @@ func (e *Engine) initPlus() error {
 	rep := &plusReplica{params: e.params[0].Clone(), opt: ro}
 	e.rep = rep
 	e.tag = "plus"
-	e.topo = &plusTopology{e: e}
+	e.topo = &plusTopology{e: e, order: e.oracle.BackwardOrder()}
 	e.snap = &replicaSnapshotter{e: e, rep: rep}
 	return nil
 }
@@ -273,21 +275,91 @@ func (r *plusReplica) restore(params tensor.Vector, st optim.State, iter int64) 
 	return nil
 }
 
-// snapJob is one layer hand-off to the offload pool.
+// snapJob is one iteration's hand-off to the offload pool.
 type snapJob struct {
-	iter  int64
-	layer int
-	src   tensor.Vector
-	hs    *sync.WaitGroup
+	iter int64
+	src  tensor.Vector // the trainer's synchronized gradient buffer
+	hs   *sync.WaitGroup
+}
+
+// hostCopy is one iteration's gradient in host memory. Its per-layer
+// queue items are sub-slices of vals; once the assembler has consumed
+// every one of them, the copy returns to the free list.
+type hostCopy struct {
+	vals  tensor.Vector
+	grads []compress.Compressed // one identity payload per layer, backward order
+	refs  atomic.Int32          // layer items not yet consumed
+	free  *hostFreeList
+}
+
+// release marks one layer item consumed.
+func (h *hostCopy) release() {
+	if h.refs.Add(-1) == 0 {
+		h.free.put(h)
+	}
+}
+
+// hostFreeList recycles host copies, so the steady-state offload path
+// allocates nothing.
+type hostFreeList struct {
+	mu   sync.Mutex
+	list []*hostCopy
+}
+
+// maxFreeCopies bounds the free list. Steady state keeps about two
+// iterations of copies in flight (one being assembled, one being copied
+// under overlap); a burst beyond that, e.g. while the assembler clones
+// the replica for a persist, allocates extra copies that go back to the
+// garbage collector instead of pinning memory for the whole run.
+const maxFreeCopies = 2
+
+func (f *hostFreeList) put(h *hostCopy) {
+	f.mu.Lock()
+	if len(f.list) < maxFreeCopies {
+		f.list = append(f.list, h)
+	}
+	f.mu.Unlock()
+}
+
+// get returns a free host copy, allocating one when every copy is still
+// in flight.
+func (f *hostFreeList) get(spec model.Spec, order []int) *hostCopy {
+	f.mu.Lock()
+	if n := len(f.list); n > 0 {
+		h := f.list[n-1]
+		f.list = f.list[:n-1]
+		f.mu.Unlock()
+		return h
+	}
+	f.mu.Unlock()
+	h := &hostCopy{vals: tensor.New(spec.NumParams()), free: f}
+	h.grads = make([]compress.Compressed, len(order))
+	for i, v := range layerViews(spec, order, h.vals) {
+		h.grads[i] = compress.Compressed{Codec: "identity", N: len(v), Vals: v}
+	}
+	return h
+}
+
+// layerViews returns the views of g's layers in the given order.
+func layerViews(spec model.Spec, order []int, g tensor.Vector) []tensor.Vector {
+	offsets := spec.LayerOffsets()
+	out := make([]tensor.Vector, len(order))
+	for i, l := range order {
+		out[i] = g[offsets[l] : offsets[l]+spec.Layers[l].Size]
+	}
+	return out
 }
 
 // plusTopology runs Workers dense data-parallel ranks and owns the offload
-// thread pool P_s (Alg. 2): pool workers copy synchronized layer gradients
-// from the trainer's buffer to host memory and stream them into the reusing
-// queue. The source slice stays valid until the trainer's next backward
-// pass, and the trainer waits on hs before starting it.
+// thread pool P_s (Alg. 2): a pool worker copies each iteration's
+// synchronized gradient from the trainer's buffer to host memory in one
+// copy and streams its layers into the reusing queue. The source slice
+// stays valid until the trainer's next backward pass, and the trainer
+// waits on hs before starting it.
 type plusTopology struct {
 	e      *Engine
+	order  []int // backward order: reverse layer order
+	free   hostFreeList
 	snapCh chan snapJob
 	poolWG sync.WaitGroup
 
@@ -306,7 +378,6 @@ func (p *plusTopology) rankKey() string { return "workers" }
 
 func (p *plusTopology) begin(rc *runCtx) {
 	e := p.e
-	rec := e.opts.Trace
 	p.snapCh = make(chan snapJob, e.opts.Plus.SnapshotWorkers*2)
 	if e.opts.Overlap {
 		p.seqCh = make(chan Item, e.opts.Plus.SnapshotWorkers*2)
@@ -318,33 +389,42 @@ func (p *plusTopology) begin(rc *runCtx) {
 		go func() {
 			defer p.poolWG.Done()
 			for job := range p.snapCh {
-				snapDone := rec.Begin2(trace.TrackSnapshot, trace.PhaseSnapshot,
-					"iter", job.iter, "layer", int64(job.layer))
-				host := &compress.Compressed{
-					Codec: "identity",
-					N:     len(job.src),
-					Vals:  append([]float32(nil), job.src...),
-				}
-				snapDone()
-				if p.seqCh != nil {
-					// Overlap: the host copy exists, so the trainer's
-					// buffer handle can be released immediately; the
-					// sequencer takes over the queue hand-off.
-					job.hs.Done()
-					p.seqCh <- Item{Iter: job.iter, Layer: job.layer, Grad: host}
-					continue
-				}
-				putDone := rec.Begin2(trace.TrackSnapshot, trace.PhaseQueueWait,
-					"iter", job.iter, "layer", int64(job.layer))
-				err := rc.queue.Put(Item{Iter: job.iter, Layer: job.layer, Grad: host})
-				putDone()
-				if err != nil {
-					rc.errCh <- err
-				}
-				job.hs.Done()
+				p.offload(rc, job)
 			}
 		}()
 	}
+}
+
+// offload copies one iteration's gradient to host memory and hands its
+// layers to the reusing queue (or, under overlap, to the sequencer).
+func (p *plusTopology) offload(rc *runCtx, job snapJob) {
+	rec := p.e.opts.Trace
+	snapDone := rec.Begin1(trace.TrackSnapshot, trace.PhaseSnapshot, "iter", job.iter)
+	h := p.free.get(p.e.opts.Spec, p.order)
+	copy(h.vals, job.src)
+	h.refs.Store(int32(len(p.order)))
+	snapDone()
+	if p.seqCh != nil {
+		// Overlap: the host copy exists, so the trainer's buffer handle
+		// can be released immediately; the sequencer takes over the
+		// queue hand-off.
+		job.hs.Done()
+		for i, l := range p.order {
+			p.seqCh <- Item{Iter: job.iter, Layer: l, Grad: &h.grads[i], host: h}
+		}
+		return
+	}
+	for i, l := range p.order {
+		putDone := rec.Begin2(trace.TrackSnapshot, trace.PhaseQueueWait,
+			"iter", job.iter, "layer", int64(l))
+		err := rc.queue.Put(Item{Iter: job.iter, Layer: l, Grad: &h.grads[i], host: h})
+		putDone()
+		if err != nil {
+			rc.errCh <- err
+			break // the remaining layers would fail the same way
+		}
+	}
+	job.hs.Done()
 }
 
 // sequence re-establishes iteration-monotonic queue order for the
@@ -362,6 +442,7 @@ func (p *plusTopology) sequence(rc *runCtx) {
 	cur := rc.start + 1
 	count := 0
 	pending := make(map[int64][]Item)
+	var spare [][]Item // drained pending slices, reused for later iterations
 	broken := false
 	emit := func(it Item) {
 		if broken {
@@ -383,16 +464,27 @@ func (p *plusTopology) sequence(rc *runCtx) {
 		if it.Iter == cur {
 			emit(it)
 		} else {
-			pending[it.Iter] = append(pending[it.Iter], it)
+			buf, ok := pending[it.Iter]
+			if !ok {
+				if n := len(spare); n > 0 {
+					buf, spare = spare[n-1], spare[:n-1]
+				} else {
+					buf = make([]Item, 0, nLayers) // an iteration never holds more
+				}
+			}
+			pending[it.Iter] = append(buf, it)
 		}
 		for count == nLayers {
 			e.overlapDeposits.Inc()
 			cur++
 			count = 0
-			buf := pending[cur]
-			delete(pending, cur)
-			for _, b := range buf {
-				emit(b)
+			if buf, ok := pending[cur]; ok {
+				delete(pending, cur)
+				for _, b := range buf {
+					emit(b)
+				}
+				clear(buf)
+				spare = append(spare, buf[:0])
 			}
 		}
 	}
@@ -417,35 +509,34 @@ func (p *plusTopology) registerMetrics(reg *obs.Registry) {
 func (p *plusTopology) newRank(rc *runCtx, w int) rankRunner {
 	e := p.e
 	r := &plusRank{
-		e:        e,
-		topo:     p,
-		w:        w,
-		p:        e.params[w],
-		o:        e.opts2[w],
-		g:        tensor.New(e.opts.Spec.NumParams()),
-		layerBuf: tensor.New(maxLayerSize(e.opts.Spec)),
-		offsets:  e.opts.Spec.LayerOffsets(),
-		overlap:  e.opts.Overlap,
+		e:       e,
+		topo:    p,
+		w:       w,
+		p:       e.params[w],
+		o:       e.opts2[w],
+		g:       tensor.New(e.opts.Spec.NumParams()),
+		overlap: e.opts.Overlap,
 	}
+	r.views[0] = layerViews(e.opts.Spec, p.order, r.g)
 	if r.overlap && w == 0 {
 		r.galt = tensor.New(e.opts.Spec.NumParams())
+		r.views[1] = layerViews(e.opts.Spec, p.order, r.galt)
 	}
 	return r
 }
 
 // plusRank is one dense data-parallel worker's per-iteration state.
 type plusRank struct {
-	e        *Engine
-	topo     *plusTopology
-	w        int
-	p        *model.Params
-	o        optim.Optimizer
-	g        tensor.Vector
-	galt     tensor.Vector // overlap: second gradient buffer (odd iterations)
-	layerBuf tensor.Vector
-	offsets  []int
-	overlap  bool
-	hs       [2]sync.WaitGroup // overlap: H_s handles per in-flight buffer
+	e       *Engine
+	topo    *plusTopology
+	w       int
+	p       *model.Params
+	o       optim.Optimizer
+	g       tensor.Vector
+	galt    tensor.Vector      // overlap: second gradient buffer (odd iterations)
+	views   [2][]tensor.Vector // per buffer: the layer views in backward order
+	overlap bool
+	hs      [2]sync.WaitGroup // H_s handles per in-flight buffer (overlap uses both)
 }
 
 func (r *plusRank) step(rc *runCtx, t int64) error {
@@ -455,13 +546,12 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 	if w == 0 {
 		e.live.Store(t)
 	}
-	spec := e.opts.Spec
-	// Backward pass, layer by layer in reverse order; each
-	// layer synchronizes as soon as its gradient exists
-	// (Alg. 2 sync threads) and is snapshotted for reuse.
-	g := r.g
-	var localHS sync.WaitGroup
-	hs := &localHS // H_s: outstanding snapshot handles
+	// Backward pass in reverse layer order: each layer's gradient is
+	// computed straight into the gradient buffer, then the whole gradient
+	// synchronizes in one coalesced all-reduce (Alg. 2 sync threads) and
+	// is snapshotted for reuse in one host copy.
+	g, views := r.g, r.views[0]
+	hs := &r.hs[0] // H_s: outstanding snapshot handles
 	if r.overlap && w == 0 {
 		// Pipelined schedule (DESIGN.md §11): alternate between two
 		// gradient buffers and defer each H_s wait by one iteration —
@@ -469,44 +559,42 @@ func (r *plusRank) step(rc *runCtx, t int64) error {
 		// iteration t-2 (its previous occupant) to have drained, so
 		// iteration t-1's offload tail hides behind this compute.
 		if t%2 != 0 {
-			g = r.galt
+			g, views = r.galt, r.views[1]
 		}
 		hs = &r.hs[t%2]
 		waitDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
 		e.snapTimer.Time(hs.Wait)
 		waitDone()
 	}
-	for _, l := range e.oracle.BackwardOrder() {
-		size := spec.Layers[l].Size
-		lg := r.layerBuf[:size]
+	for i, l := range r.topo.order {
 		computeDone := tr.Begin2(trace.TrackTrain, trace.PhaseCompute, "iter", t, "layer", int64(l))
-		if err := e.oracle.LayerGrad(r.p.Flat, w, int(t), l, lg); err != nil {
+		if err := e.oracle.LayerGrad(r.p.Flat, w, int(t), l, views[i]); err != nil {
 			return err
 		}
 		computeDone()
-		gatherDone := tr.Begin2(trace.TrackTrain, trace.PhaseAllGather, "iter", t, "layer", int64(l))
-		if err := e.group.RingAllReduceSum(w, lg); err != nil {
-			return err
-		}
-		gatherDone()
-		lg.Scale(1 / float32(e.opts.Workers))
-		view := g[r.offsets[l] : r.offsets[l]+size]
-		copy(view, lg)
-		if w == 0 {
-			// Hand the layer to the offload pool; the copy to
-			// host memory overlaps the remaining layers'
-			// compute and synchronization.
-			hs.Add(1)
-			r.topo.snapCh <- snapJob{iter: t, layer: l, src: view, hs: hs}
-		}
 	}
-	// H_s.wait(): the gradient buffer may not be reused until every
-	// layer snapshot has been taken. The overlap schedule already
-	// waited — one iteration late — at the top of the step.
-	if w == 0 && !r.overlap {
-		waitDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
-		e.snapTimer.Time(hs.Wait)
-		waitDone()
+	// One vector per layer: each layer is chunked across the ring as it
+	// would be alone, which keeps every sum's rank order, and so the
+	// result, bit-identical to per-layer synchronization.
+	gatherDone := tr.Begin1(trace.TrackTrain, trace.PhaseAllGather, "iter", t)
+	if err := e.group.RingAllReduceSum(w, views...); err != nil {
+		return err
+	}
+	gatherDone()
+	g.Scale(1 / float32(e.opts.Workers))
+	if w == 0 {
+		// Hand the gradient to the offload pool for its copy to host
+		// memory.
+		hs.Add(1)
+		r.topo.snapCh <- snapJob{iter: t, src: g, hs: hs}
+		// H_s.wait(): the gradient buffer may not be reused until the
+		// snapshot has been taken. The overlap schedule already waited —
+		// one iteration late — at the top of the step.
+		if !r.overlap {
+			waitDone := tr.Begin1(trace.TrackTrain, trace.PhaseQueueWait, "iter", t)
+			e.snapTimer.Time(hs.Wait)
+			waitDone()
+		}
 	}
 	applyDone := tr.Begin1(trace.TrackTrain, trace.PhaseApply, "iter", t)
 	err := r.o.Step(r.p.Flat, g)
@@ -581,69 +669,89 @@ func (s *replicaSnapshotter) registerMetrics(reg *obs.Registry) {
 }
 
 // assemble is the checkpointing process: assemble layer gradients, keep the
-// CPU replica in lock-step, request persists.
+// CPU replica in lock-step, request persists. After a failure it reports
+// the error once and keeps draining the queue, so the offload pool — and
+// the trainer waiting on it — never blocks on a full queue.
 func (s *replicaSnapshotter) assemble(rc *runCtx) {
 	defer s.assembleWG.Done()
-	e, r := s.e, s.rep
-	spec := e.opts.Spec
-	nLayers := len(spec.Layers)
-	offsets := spec.LayerOffsets()
-	assembled := tensor.New(spec.NumParams())
-	seen := 0
-	curIter := int64(0)
+	spec := s.e.opts.Spec
+	a := &assembly{grad: tensor.New(spec.NumParams()), offsets: spec.LayerOffsets()}
+	broken := false
 	for {
 		it, err := rc.queue.Get()
 		if err != nil {
 			return
 		}
-		if it.Layer < 0 || it.Layer >= nLayers {
-			rc.errCh <- fmt.Errorf("core: plus checkpointer got layer %d", it.Layer)
-			return
-		}
-		if seen == 0 {
-			curIter = it.Iter
-		} else if it.Iter != curIter {
-			rc.errCh <- fmt.Errorf("core: plus checkpointer got iter %d while assembling %d", it.Iter, curIter)
-			return
-		}
-		// Snapshot: the gradient already lives in host memory here
-		// (the copy happened at enqueue, the offload thread's work);
-		// scatter it into the assembly buffer.
-		off := offsets[it.Layer]
-		view := assembled[off : off+spec.Layers[it.Layer].Size]
-		if err := it.Grad.DecompressWith(e.pool, view); err != nil {
-			rc.errCh <- err
-			return
-		}
-		e.layerSnapshots.Inc()
-		e.snapshotBytes.Add(it.Grad.Bytes())
-		seen++
-		if seen < nLayers {
-			continue
-		}
-		// Full gradient assembled: update the CPU replica (§5.2).
-		seen = 0
-		r.mu.Lock()
-		if err := r.opt.Step(r.params.Flat, assembled); err != nil {
-			r.mu.Unlock()
-			rc.errCh <- err
-			return
-		}
-		r.iter = curIter
-		e.replicaSteps.Inc()
-		var toPersist *checkpoint.Full
-		if e.opts.Store != nil && curIter%int64(e.opts.Plus.PersistEvery) == 0 {
-			toPersist = &checkpoint.Full{
-				Iter:   curIter,
-				Params: r.params.Flat.Clone(),
-				Opt:    r.opt.Snapshot(),
+		if !broken {
+			if err := s.absorb(a, it); err != nil {
+				rc.errCh <- err
+				broken = true
 			}
 		}
-		r.mu.Unlock()
-		if toPersist != nil {
-			s.persistCh <- toPersist
+		if it.host != nil {
+			it.host.release()
 		}
 	}
+}
+
+// assembly is the iteration the assembler is putting together.
+type assembly struct {
+	grad    tensor.Vector // scattered layer by layer
+	offsets []int
+	seen    int // layers absorbed so far
+	iter    int64
+}
+
+// absorb scatters one layer item into the assembly and, once the
+// iteration's gradient is complete, steps the CPU replica (§5.2).
+func (s *replicaSnapshotter) absorb(a *assembly, it Item) error {
+	e, r := s.e, s.rep
+	spec := e.opts.Spec
+	nLayers := len(spec.Layers)
+	if it.Layer < 0 || it.Layer >= nLayers {
+		return fmt.Errorf("core: plus checkpointer got layer %d", it.Layer)
+	}
+	if a.seen == 0 {
+		a.iter = it.Iter
+	} else if it.Iter != a.iter {
+		return fmt.Errorf("core: plus checkpointer got iter %d while assembling %d", it.Iter, a.iter)
+	}
+	// Snapshot: the gradient already lives in host memory here (the
+	// copy happened at enqueue, the offload thread's work); scatter it
+	// into the assembly buffer.
+	off := a.offsets[it.Layer]
+	view := a.grad[off : off+spec.Layers[it.Layer].Size]
+	if err := it.Grad.DecompressWith(e.pool, view); err != nil {
+		return err
+	}
+	e.layerSnapshots.Inc()
+	e.snapshotBytes.Add(it.Grad.Bytes())
+	a.seen++
+	if a.seen < nLayers {
+		return nil
+	}
+	// Full gradient assembled: update the CPU replica (§5.2).
+	a.seen = 0
+	r.mu.Lock()
+	if err := r.opt.Step(r.params.Flat, a.grad); err != nil {
+		r.mu.Unlock()
+		return err
+	}
+	r.iter = a.iter
+	e.replicaSteps.Inc()
+	var toPersist *checkpoint.Full
+	if e.opts.Store != nil && a.iter%int64(e.opts.Plus.PersistEvery) == 0 {
+		toPersist = &checkpoint.Full{
+			Iter:   a.iter,
+			Params: r.params.Flat.Clone(),
+			Opt:    r.opt.Snapshot(),
+		}
+	}
+	r.mu.Unlock()
+	if toPersist != nil {
+		s.persistCh <- toPersist
+	}
+	return nil
 }
 
 // persistLoop is the asynchronous persister, sharing the engine's full
@@ -660,14 +768,4 @@ func (s *replicaSnapshotter) persistLoop(rc *runCtx) {
 			broken = true
 		}
 	}
-}
-
-func maxLayerSize(spec model.Spec) int {
-	m := 0
-	for _, l := range spec.Layers {
-		if l.Size > m {
-			m = l.Size
-		}
-	}
-	return m
 }

@@ -32,6 +32,8 @@ type Item struct {
 	Iter  int64 // iteration the gradient was produced in (1-based)
 	Layer int   // layer index for layer-wise reuse; -1 for whole-model items
 	Grad  *compress.Compressed
+
+	host *hostCopy // LowDiff+: the recycled host copy Grad slices into
 }
 
 // ErrQueueClosed is returned by Put after Close and by Get once the queue

@@ -132,11 +132,13 @@ func TestPlusAndPPEngineTraceSpans(t *testing.T) {
 	counts := phaseCounts(recPlus.Events())
 	layers := len(pe.Engine.opts.Spec.Layers)
 	for key, want := range map[string]int{
-		"train/" + trace.PhaseIteration:   4,
-		"train/" + trace.PhaseCompute:     4 * layers,
-		"train/" + trace.PhaseAllGather:   4 * layers,
-		"train/" + trace.PhaseQueueWait:   4, // H_s.wait per step
-		"snapshot/" + trace.PhaseSnapshot: 4 * layers,
+		"train/" + trace.PhaseIteration: 4,
+		"train/" + trace.PhaseCompute:   4 * layers, // compute stays per layer
+		// One coalesced all-reduce and one host copy per iteration.
+		"train/" + trace.PhaseAllGather:    4,
+		"train/" + trace.PhaseQueueWait:    4, // H_s.wait per step
+		"snapshot/" + trace.PhaseSnapshot:  4,
+		"snapshot/" + trace.PhaseQueueWait: 4 * layers, // per-layer queue items
 	} {
 		if counts[key] != want {
 			t.Errorf("plus: %s spans = %d, want %d (all: %v)", key, counts[key], want, counts)

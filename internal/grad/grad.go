@@ -21,10 +21,11 @@ import (
 
 // Oracle produces deterministic synthetic gradients for a model spec.
 type Oracle struct {
-	spec   model.Spec
-	target tensor.Vector // the bowl minimum x*
-	noise  float64       // uniform noise half-width added per worker
-	seed   uint64
+	spec    model.Spec
+	offsets []int         // spec.LayerOffsets(), cached for the per-layer path
+	target  tensor.Vector // the bowl minimum x*
+	noise   float64       // uniform noise half-width added per worker
+	seed    uint64
 }
 
 // New creates an oracle for spec. seed fixes the bowl minimum and the noise
@@ -36,7 +37,7 @@ func New(spec model.Spec, seed uint64, noise float64) (*Oracle, error) {
 	if noise < 0 {
 		return nil, fmt.Errorf("grad: negative noise %v", noise)
 	}
-	o := &Oracle{spec: spec, noise: noise, seed: seed}
+	o := &Oracle{spec: spec, offsets: spec.LayerOffsets(), noise: noise, seed: seed}
 	o.target = tensor.New(spec.NumParams())
 	r := tensor.NewRNG(seed ^ 0xa5a5a5a5a5a5a5a5)
 	r.FillUniform(o.target, -0.5, 0.5)
@@ -61,12 +62,13 @@ func (o *Oracle) Loss(params tensor.Vector) (float64, error) {
 
 // noiseRNG returns the generator for (worker, iter, layer), independent of
 // call order so layer-wise and whole-model gradients agree exactly.
-func (o *Oracle) noiseRNG(worker, iter, layer int) *tensor.RNG {
+// It returns a value so the per-layer path keeps it off the heap.
+func (o *Oracle) noiseRNG(worker, iter, layer int) tensor.RNG {
 	h := o.seed
 	h ^= uint64(worker+1) * 0x9e3779b97f4a7c15
 	h ^= uint64(iter+1) * 0xc2b2ae3d27d4eb4f
 	h ^= uint64(layer+1) * 0x165667b19e3779f9
-	return tensor.NewRNG(h)
+	return *tensor.NewRNG(h)
 }
 
 // Local computes worker w's full gradient at iteration iter for params,
@@ -76,9 +78,8 @@ func (o *Oracle) Local(params tensor.Vector, worker, iter int, out tensor.Vector
 		return fmt.Errorf("grad: local gradient size mismatch: params %d, out %d, want %d",
 			len(params), len(out), len(o.target))
 	}
-	offsets := o.spec.LayerOffsets()
 	for l, layer := range o.spec.Layers {
-		off := offsets[l]
+		off := o.offsets[l]
 		if err := o.layerInto(params, worker, iter, l, out[off:off+layer.Size], off); err != nil {
 			return err
 		}
@@ -96,8 +97,7 @@ func (o *Oracle) LayerGrad(params tensor.Vector, worker, iter, layer int, out te
 	if len(out) != o.spec.Layers[layer].Size {
 		return fmt.Errorf("grad: layer %d gradient length %d, want %d", layer, len(out), o.spec.Layers[layer].Size)
 	}
-	off := o.spec.LayerOffsets()[layer]
-	return o.layerInto(params, worker, iter, layer, out, off)
+	return o.layerInto(params, worker, iter, layer, out, o.offsets[layer])
 }
 
 func (o *Oracle) layerInto(params tensor.Vector, worker, iter, layer int, out tensor.Vector, off int) error {

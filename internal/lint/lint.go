@@ -143,12 +143,17 @@ func DefaultConfig() *Config {
 			"lowdiff/internal/core.peerRank.step",
 			"lowdiff/internal/core.peerRank.checkpointStep",
 			"lowdiff/internal/core.ppRank.step",
+			"lowdiff/internal/core.plusRank.step",
+			"lowdiff/internal/core.plusTopology.offload",
 			"lowdiff/internal/core.shiftToGlobal",
 			"lowdiff/internal/core.applyCompressed",
 			"lowdiff/internal/comm.Window.Retain",
 			"lowdiff/internal/comm.Window.lookup",
 			"lowdiff/internal/comm.payloadCRC",
 			"lowdiff/internal/comm.Peers.Retain",
+			"lowdiff/internal/comm.Group.RingAllReduceSum",
+			"lowdiff/internal/comm.ringRank.pack",
+			"lowdiff/internal/comm.ringChunk",
 		},
 		HotAllocCold: []string{
 			"fmt.Errorf",

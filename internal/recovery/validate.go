@@ -114,12 +114,15 @@ func (o ValidateOptions) withDefaults() ValidateOptions {
 	return o
 }
 
-// loadFull loads and CRC-verifies a full checkpoint with retries.
-func loadFull(store storage.Store, name string, attempts int) (*checkpoint.Full, ObjectStatus, error) {
+// loadFull loads and CRC-verifies a full checkpoint with retries through
+// load: checkpoint.LoadFull to use the state, checkpoint.LoadFullDiscard
+// to only check it.
+func loadFull(store storage.Store, name string, attempts int,
+	load func(storage.Store, string) (*checkpoint.Full, error)) (*checkpoint.Full, ObjectStatus, error) {
 	var err error
 	for i := 0; i < attempts; i++ {
 		var f *checkpoint.Full
-		f, err = checkpoint.LoadFull(store, name)
+		f, err = load(store, name)
 		if err == nil {
 			return f, StatusValid, nil
 		}
@@ -183,7 +186,7 @@ func LatestValid(store storage.Store, opts ValidateOptions) (*State, *Report, er
 	var base checkpoint.Entry
 	for i := len(m.Fulls) - 1; i >= 0; i-- {
 		e := m.Fulls[i]
-		f, status, err := loadFull(store, e.Name, opts.LoadRetries)
+		f, status, err := loadFull(store, e.Name, opts.LoadRetries, checkpoint.LoadFull)
 		if status == StatusValid && f.Iter != e.Iter {
 			// A decodable object whose content belongs to a different
 			// iteration than its name claims (a misplaced copy, a rename
@@ -252,7 +255,9 @@ func LatestValid(store storage.Store, opts ValidateOptions) (*State, *Report, er
 // Verify CRC-checks every checkpoint object in the store without mutating
 // anything and reports per-object validity plus where recovery would
 // anchor. It is the read-only companion of LatestValid, used by the
-// lowdiffinspect verify subcommand.
+// lowdiffinspect verify subcommand and the daemon's full-commit
+// validation. Fulls are checked in discard mode, without materializing
+// their float vectors.
 func Verify(store storage.Store, opts ValidateOptions) (*Report, error) {
 	opts = opts.withDefaults()
 	opts.Quarantine = false
@@ -263,7 +268,7 @@ func Verify(store storage.Store, opts ValidateOptions) (*Report, error) {
 	}
 	fullValid := make(map[string]bool, len(m.Fulls))
 	for _, e := range m.Fulls {
-		f, status, err := loadFull(store, e.Name, opts.LoadRetries)
+		f, status, err := loadFull(store, e.Name, opts.LoadRetries, checkpoint.LoadFullDiscard)
 		if status == StatusValid && f.Iter != e.Iter {
 			status, err = StatusCorrupt,
 				fmt.Errorf("recovery: %s decodes to iteration %d, name says %d", e.Name, f.Iter, e.Iter)
